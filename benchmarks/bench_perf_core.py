@@ -21,7 +21,7 @@ interpreter (:func:`repro.runtime.execute_program_reference`):
   scalar harness before timing starts.
 * ``fig11_hybrid_batched`` — a hybrid DP x TP grid (2 schemes x 4
   (TP, PP, DP) layouts x 16 clusters) through
-  ``measure_hybrid_throughput_batch``, vs the pre-batching per-cell
+  ``measure_throughput_batch``, vs the pre-batching per-cell
   hybrid pipeline (schedule build + TP sharding + program compilation
   + ``with_tp_sync`` + reference core).  Lanes are parity-probed
   against scalar ``measure_hybrid_throughput`` first.
@@ -153,10 +153,10 @@ def _run_fig09_reference_pass(model, cells) -> None:
     before the lowering refactor.
     """
     from repro.analysis.throughput import (
-        _pipeline_comm,
         compile_cluster_program,
         throughput_from_simulation,
     )
+    from repro.cluster import CommModel
     from repro.config import PipelineConfig, RunConfig
     from repro.models.costs import stage_costs
     from repro.runtime import ConcreteCosts, execute_program_reference
@@ -173,7 +173,7 @@ def _run_fig09_reference_pass(model, cells) -> None:
         costs = stage_costs(model, schedule.num_stages, cluster.device, 1)
         program = compile_cluster_program(schedule, cluster, costs, d=d,
                                           run=run)
-        oracle = ConcreteCosts(costs, _pipeline_comm(cluster, 0, p))
+        oracle = ConcreteCosts(costs, CommModel.from_cluster(cluster))
         ev = execute_program_reference(program, oracle, run)
         result = SimResult(
             schedule=schedule, timeline=ev.timeline,
@@ -290,15 +290,13 @@ def _run_fig11_reference_pass(model, cells) -> None:
     the reference core — what ``measure_hybrid_throughput`` amounted to
     before the lowering + batching refactors."""
     from repro.actions.collectives import with_tp_sync
-    from repro.analysis.hybrid import (
+    from repro.analysis.throughput import (
         HybridLayout,
         _SpacedCosts,
         apply_tensor_parallel,
-        tp_rank_groups,
-    )
-    from repro.analysis.throughput import (
         compile_cluster_program,
         throughput_from_simulation,
+        tp_rank_groups,
     )
     from repro.config import PipelineConfig, RunConfig
     from repro.models.costs import stage_costs
@@ -341,24 +339,25 @@ def _run_fig11_reference_pass(model, cells) -> None:
 
 
 def bench_fig11_hybrid_batched() -> dict:
-    from repro.analysis import measure_hybrid_throughput, plan_cache
-    from repro.analysis.hybrid import (
+    from repro.analysis import (
         HybridLayout,
-        HybridRequest,
-        measure_hybrid_throughput_batch,
+        ThroughputRequest,
+        measure_hybrid_throughput,
+        measure_throughput_batch,
+        plan_cache,
     )
     from repro.models import bert_64
 
     model = bert_64()
     cells = _fig11_cells()
     requests = [
-        HybridRequest(scheme=scheme, cluster=cluster, model=model,
-                      layout=HybridLayout(tp=tp, p=p, d=d),
-                      num_microbatches=b, w=w, microbatch_size=1)
+        ThroughputRequest(scheme=scheme, cluster=cluster, model=model,
+                          p=p, num_microbatches=b, d=d, w=w,
+                          microbatch_size=1, tp=tp)
         for scheme, cluster, tp, p, d, b, w in cells
     ]
     plan_cache().clear()
-    outcomes = measure_hybrid_throughput_batch(requests)  # warm + probe
+    outcomes = measure_throughput_batch(requests)  # warm + probe
     # every lane must be bit-identical to the scalar hybrid harness
     for cell, out in zip(cells, outcomes):
         scheme, cluster, tp, p, d, b, w = cell
@@ -374,7 +373,7 @@ def bench_fig11_hybrid_batched() -> dict:
     lanes_per_group = len({id(c) for _s, c, *_rest in cells})
     actions = lanes_per_group * sum(
         e.plan.n_actions for e in plan_cache()._store.values())
-    wall = _best_of(lambda: measure_hybrid_throughput_batch(requests))
+    wall = _best_of(lambda: measure_throughput_batch(requests))
     ref_wall = _best_of(lambda: _run_fig11_reference_pass(model, cells))
     return {
         "cells": len(cells),
@@ -396,11 +395,8 @@ def _contention_plans():
     ride the time-ordered replay instead — ``contention_divergent``).
     Eight microbatch sizes per cluster make the cost-only lane axis."""
     from repro.actions import ExecutablePlan
-    from repro.analysis.throughput import (
-        _pipeline_comm,
-        compile_cluster_program,
-    )
-    from repro.cluster import make_fc, make_pc, make_tacc, make_tc
+    from repro.analysis.throughput import compile_cluster_program
+    from repro.cluster import CommModel, make_fc, make_pc, make_tacc, make_tc
     from repro.config import PipelineConfig
     from repro.models import bert_64
     from repro.models.costs import stage_costs
@@ -430,7 +426,7 @@ def _contention_plans():
                 program = compile_cluster_program(sched, cluster, costs,
                                                   d=d)
                 oracle = ConcreteCosts(costs,
-                                       _pipeline_comm(cluster, 0, p))
+                                       CommModel.from_cluster(cluster))
                 plans.append(ExecutablePlan.lower(program).retime(oracle))
     return plans
 
@@ -494,11 +490,8 @@ def _divergent_plans():
     recovers.  One shared structure keeps the cohort pool dense, which
     is the replay's intended operating point (a sweep's cost axis)."""
     from repro.actions import ExecutablePlan
-    from repro.analysis.throughput import (
-        _pipeline_comm,
-        compile_cluster_program,
-    )
-    from repro.cluster import make_fc
+    from repro.analysis.throughput import compile_cluster_program
+    from repro.cluster import CommModel, make_fc
     from repro.config import PipelineConfig
     from repro.models import bert_64
     from repro.models.costs import stage_costs
@@ -516,7 +509,7 @@ def _divergent_plans():
     plans = []
     for mb in range(1, 257):
         costs = stage_costs(model, sched.num_stages, cluster.device, mb)
-        oracle = ConcreteCosts(costs, _pipeline_comm(cluster, 0, 4))
+        oracle = ConcreteCosts(costs, CommModel.from_cluster(cluster))
         plans.append(ExecutablePlan.lower(program).retime(oracle))
     return plans
 

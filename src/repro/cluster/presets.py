@@ -12,6 +12,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError
@@ -118,8 +119,16 @@ _FACTORIES = {
 }
 
 
+@functools.lru_cache(maxsize=64)
 def get_cluster(name: str, num_devices: int = 8) -> Cluster:
-    """Look up one of the paper's four clusters by name."""
+    """Look up one of the paper's four clusters by name.
+
+    Memoized: a repeated lookup returns the *same* :class:`Cluster`
+    (treat it as read-only).  Topologies hash by identity, so this is
+    what lets per-query callers — the serving layer builds its cells
+    from names — reuse the plan cache's cost bindings instead of
+    re-timing every plan for a fresh but equal cluster.
+    """
     try:
         factory = _FACTORIES[name.upper()]
     except KeyError:

@@ -142,10 +142,10 @@ class BatchingStats:
     #: lane-count -> number of batches executed at that occupancy
     occupancy: dict[int, int] = field(default_factory=dict)
     #: why cells fell back scalar: reason -> cell count.  The taxonomy
-    #: (``singleton`` / ``tp>1`` / ``deadlock`` /
-    #: ``structure-divergence``) makes batch-coverage regressions
-    #: visible — a future change that silently de-batches a shape shows
-    #: up here before it shows up in wall time.
+    #: (``singleton`` / ``deadlock`` / ``structure-divergence``) makes
+    #: batch-coverage regressions visible — a future change that
+    #: silently de-batches a shape shows up here before it shows up in
+    #: wall time.
     fallback_reasons: dict[str, int] = field(default_factory=dict)
     #: reason -> wall seconds spent in that scalar fallback: a rare
     #: reason burning most of the time ranks above a frequent cheap one
@@ -243,8 +243,8 @@ def record_scalar(cells: int, seconds: float,
     """Count ``cells`` cells executed through the scalar fallback.
 
     ``reason`` names why the vectorized paths were not taken — one of
-    ``singleton`` / ``tp>1`` / ``deadlock`` / ``structure-divergence``
-    — with wall time attributed per reason alongside the cell counts.
+    ``singleton`` / ``deadlock`` / ``structure-divergence`` — with wall
+    time attributed per reason alongside the cell counts.
     """
     _batching.record_scalar(cells, seconds, reason)
 

@@ -10,6 +10,11 @@ stacks N cost-bound plans sharing one control-flow structure and
 :func:`execute_batch` advances **all lanes at once**, one NumPy array
 op per event instead of one Python step per event per lane.
 
+The measurement harness feeds every cell through :func:`execute_many`:
+:func:`repro.analysis.measure_throughput_batch` takes one request type
+for every (TP, PP, DP) layout, and its scalar entry points are one-cell
+calls, so a lone cell is simply a ``singleton`` lane.
+
 The enabling invariant
 ----------------------
 
@@ -122,8 +127,8 @@ per-event mask branches; live lanes never stall on them.
 
 Remaining scalar fallbacks go through :func:`execute_plan` unchanged,
 and every fallback is *reason-coded* —
-``singleton`` / ``tp>1`` / ``deadlock`` / ``structure-divergence``
-(defensive; congruent batches cannot reach it) — in
+``singleton`` / ``deadlock`` / ``structure-divergence`` (defensive;
+congruent batches cannot reach it) — in
 :func:`repro.profiling.batching_stats`, with wall time attributed per
 reason and recovered-lane counts for the time-ordered replay, so
 batch-coverage regressions are visible in ``--profile`` output.

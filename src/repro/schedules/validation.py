@@ -134,16 +134,6 @@ def check_executable(schedule: Schedule) -> None:
         )
 
 
-def check_flush(schedule: Schedule) -> None:
-    """Synchronous semantics: no forward of the *next* iteration exists.
-
-    Within one generated iteration this reduces to: the work set matches
-    ``expected_ops`` exactly, already enforced by completeness; kept as
-    a named check for symmetry and future multi-iteration schedules.
-    """
-    check_completeness(schedule)
-
-
 def validate(schedule: Schedule) -> None:
     """Run all structural checks; raises ValidationError on the first failure."""
     check_completeness(schedule)

@@ -12,9 +12,8 @@ process and answers what-if queries over HTTP:
 * :mod:`.queries` — query expansion + answer folding, shared by the
   batch CLI and the server (parity by construction);
 * :mod:`.batcher` — the continuous micro-batcher: concurrent in-flight
-  queries' measurement cells coalesce into single
-  ``measure_throughput_batch`` / ``measure_hybrid_throughput_batch``
-  calls, so the serving layer inherits the lockstep ``PlanBatch``
+  queries' measurement cells, of any TP degree, coalesce into single
+  ``measure_throughput_batch`` calls, so the serving layer inherits the lockstep ``PlanBatch``
   speedups instead of re-deriving them;
 * :mod:`.singleflight` — identical concurrent queries execute once and
   share the answer;

@@ -3,11 +3,11 @@
 Handler threads do not measure anything themselves — they submit their
 query's measurement requests here and block.  A single dispatcher
 thread collects whatever is in flight across *all* concurrent queries
-(after a short coalescing window), and executes it as one
-:func:`~repro.analysis.measure_throughput_batch` /
-:func:`~repro.analysis.measure_hybrid_throughput_batch` call.  Those
-harnesses group lanes by :attr:`ExecutablePlan.congruence_key` and
-advance them through one vectorized ``PlanBatch`` per group — so two
+(after a short coalescing window), whatever their TP degree, and
+executes it as one :func:`~repro.analysis.measure_throughput_batch`
+call.  That harness groups lanes by
+:attr:`ExecutablePlan.congruence_key` and advances them through one
+vectorized ``PlanBatch`` per group — so two
 concurrent "best config?" queries whose grids share structures (they
 almost always do: the scheme × layout cross is the same, only batch
 sizes and clusters differ) stack into the same ``[N]``-wide NumPy
@@ -21,9 +21,8 @@ keep multiple cores busy — the lockstep stepper's NumPy kernels release
 the GIL, so frozen batches genuinely overlap.
 
 Every outcome is exactly what the caller would have computed itself —
-the batch harnesses are bit-identical to the scalar core per lane
-(pinned since PR 7/8) — so coalescing is invisible in answers and only
-visible in latency.
+the batch harness is bit-identical to the scalar core per lane — so
+coalescing is invisible in answers and only visible in latency.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import time
 from collections import deque
 
 from .. import profiling
-from ..analysis.hybrid import measure_hybrid_throughput_batch
 from ..analysis.throughput import measure_throughput_batch
 
 #: default coalescing window: how long the dispatcher waits after the
@@ -68,13 +66,13 @@ class _Pending:
 
 
 class MicroBatcher:
-    """Continuous micro-batching front end over the batch harnesses.
+    """Continuous micro-batching front end over the batch harness.
 
     ``coalesce=False`` disables the queue entirely — submissions
     execute synchronously in the calling thread, one harness call per
     submission.  That is the "micro-batcher off" baseline the load
     benchmark compares against: per-query batching still happens (the
-    harnesses batch within one request list), but concurrent queries
+    harness batches within one request list), but concurrent queries
     no longer share lockstep batches.
     """
 
@@ -85,7 +83,7 @@ class MicroBatcher:
         self.window_s = window_s
         self.max_lanes = max_lanes
         self.coalesce = coalesce
-        self._queue: deque = deque()   # (kind, request, index, pending)
+        self._queue: deque = deque()   # (request, index, pending)
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
         self._closed = False
@@ -103,25 +101,21 @@ class MicroBatcher:
 
     # -- submission ----------------------------------------------------------
 
-    def measure_flat(self, requests: list) -> list:
-        """Outcomes for flat (TP = 1) requests, in request order."""
-        return self._measure("flat", requests)
-
-    def measure_hybrid(self, requests: list) -> list:
-        """Outcomes for hybrid (TP > 1) requests, in request order."""
-        return self._measure("hybrid", requests)
-
-    def _measure(self, kind: str, requests: list) -> list:
+    def measure(self, requests: list) -> list:
+        """Outcomes for ``requests``, in request order."""
         if not requests:
             return []
+        return self._measure(_Pending(len(requests)), requests)
+
+    def _measure(self, pending: _Pending, requests: list) -> list:
+        """Submit ``requests`` and block until ``pending`` completes."""
         if not self.coalesce:
-            return self._execute(kind, list(requests))
-        pending = _Pending(len(requests))
+            return self._execute(None, list(requests))
         with self._work:
             if self._closed:
                 raise RuntimeError("micro-batcher is closed (draining)")
             for i, request in enumerate(requests):
-                self._queue.append((kind, request, i, pending))
+                self._queue.append((request, i, pending))
             self._work.notify_all()
         pending.done.wait()
         if pending.error is not None:
@@ -148,34 +142,33 @@ class MicroBatcher:
                 depth = len(self._queue)
                 items = [self._queue.popleft()
                          for _ in range(min(depth, self.max_lanes))]
-            profiling.serve_stats().record_dispatch(len(items), depth)
-            for kind in ("flat", "hybrid"):
-                batch = [item for item in items if item[0] == kind]
-                if not batch:
-                    continue
-                try:
-                    outcomes = self._execute(
-                        kind, [request for _k, request, _i, _p in batch])
-                except BaseException as exc:  # propagate to every waiter
-                    for _k, _request, _i, pending in batch:
-                        pending.error = exc
-                    outcomes = [None] * len(batch)
-                # a submission's lanes can land in two dispatchers'
-                # batches, so completion accounting takes the lock
-                ready = []
-                with self._lock:
-                    for (_k, _request, i, pending), outcome in zip(
-                            batch, outcomes):
-                        pending.outcomes[i] = outcome
-                        pending.remaining -= 1
-                        if pending.remaining == 0:
-                            ready.append(pending)
-                for pending in ready:
-                    pending.done.set()
+            if not items:
+                # a sibling dispatcher froze the queue first
+                continue
+            try:
+                outcomes = self._execute(
+                    depth, [request for request, _i, _p in items])
+            except BaseException as exc:  # propagate to every waiter
+                for _request, _i, pending in items:
+                    pending.error = exc
+                outcomes = [None] * len(items)
+            # a submission's lanes can land in two dispatchers' batches,
+            # so completion accounting takes the lock
+            ready = []
+            with self._lock:
+                for (_request, i, pending), outcome in zip(items, outcomes):
+                    pending.outcomes[i] = outcome
+                    pending.remaining -= 1
+                    if pending.remaining == 0:
+                        ready.append(pending)
+            for pending in ready:
+                pending.done.set()
 
-    def _execute(self, kind: str, requests: list) -> list:
-        if kind == "hybrid":
-            return measure_hybrid_throughput_batch(requests)
+    def _execute(self, depth: int | None, requests: list) -> list:
+        """Measure one frozen batch; ``depth`` is the queue depth it was
+        drawn from (``None`` for an uncoalesced inline call)."""
+        if depth is not None:
+            profiling.serve_stats().record_dispatch(len(requests), depth)
         return measure_throughput_batch(requests)
 
     # -- lifecycle -----------------------------------------------------------

@@ -244,10 +244,7 @@ class _Handler(BaseHTTPRequestHandler):
 
         def execute() -> bytes:
             return dumps_canonical(advise_answer(
-                query,
-                measure_flat=batcher.measure_flat,
-                measure_hybrid=batcher.measure_hybrid,
-            ))
+                query, measure=batcher.measure))
 
         body, _deduped = self.server.flights.do(
             query_key("advise", query), execute)
@@ -266,12 +263,8 @@ class _Handler(BaseHTTPRequestHandler):
                 {"kind": "progress", "done": done, "total": total}))
 
         try:
-            payload = sweep_answer(
-                query,
-                measure_flat=batcher.measure_flat,
-                measure_hybrid=batcher.measure_hybrid,
-                progress=on_progress,
-            )
+            payload = sweep_answer(query, measure=batcher.measure,
+                                   progress=on_progress)
             self._write_chunk(dumps_canonical(payload))
         except Exception as exc:  # headers are gone; fail in-band
             profiling.serve_stats().record_error()

@@ -1,8 +1,9 @@
 """repro.sweep — the parallel, cached configuration-sweep engine.
 
-The paper's evaluation (Figs. 9–12) is thousands of calls into one
-function, ``measure_throughput``, over a grid of schemes, clusters,
-models, ``(P, D)`` layouts, wave counts and batch sizes.  This package
+The paper's evaluation (Figs. 9–12) is thousands of measurements by
+one harness, :func:`~repro.analysis.measure_throughput_batch`, over a
+grid of schemes, clusters, models, ``(P, D)`` layouts, wave counts and
+batch sizes.  This package
 makes that grid a first-class workload:
 
 * :class:`SweepSpec` declares the grid; expansion applies the Sec. 5.3

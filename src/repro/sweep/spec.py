@@ -4,7 +4,7 @@ A :class:`SweepSpec` names a full cartesian grid of throughput
 measurements — schemes × clusters × models × (P, D) layouts × total
 batch sizes, with the wave dimension searched automatically for Hanayo
 — and :meth:`SweepSpec.expand` lowers it to concrete
-:class:`SweepPoint`\\ s, one per ``measure_throughput`` invocation.
+:class:`SweepPoint`\\ s, one measured cell each.
 
 The expansion owns the Sec. 5.3 **fairness rule**: every grid cell must
 process exactly the same number of sequences so throughputs are

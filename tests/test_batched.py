@@ -20,7 +20,7 @@ from repro.actions import (
     compile_program,
 )
 from repro.analysis import compile_cluster_program
-from repro.cluster import make_fc, make_pc, make_tacc
+from repro.cluster import CommModel, make_fc, make_pc, make_tacc
 from repro.config import CostConfig, PipelineConfig, RunConfig
 from repro.errors import ConfigError, OutOfMemoryError, SchedulingError
 from repro.models import tiny_model
@@ -151,8 +151,6 @@ class TestCollectiveParity:
     @pytest.mark.parametrize("factory", [make_fc, make_tacc, make_pc],
                              ids=["FC", "TACC", "PC"])
     def test_dp_collectives_bit_equal(self, factory):
-        from repro.analysis.throughput import _pipeline_comm
-
         cfg = PipelineConfig(scheme="hanayo", num_devices=P,
                              num_microbatches=B, data_parallel=2)
         sched = build_schedule(cfg)
@@ -163,7 +161,7 @@ class TestCollectiveParity:
                                 sched.num_stages, cluster.device, 2)
             program = compile_cluster_program(sched, cluster, costs, d=2)
             plans.append(ExecutablePlan.lower(program).retime(
-                ConcreteCosts(costs, _pipeline_comm(cluster, 0, P))))
+                ConcreteCosts(costs, CommModel.from_cluster(cluster))))
         run = RunConfig()
         batch = execute_batch(PlanBatch.from_plans(plans), run)
         for plan, got in zip(plans, batch.results):
@@ -275,7 +273,6 @@ class TestContentionParity:
     def test_contention_collectives_bit_equal_both_cores(self, factory):
         """Arbitrated DP rings: lean lanes must match the scalar core
         and (through it) the reference interpreter."""
-        from repro.analysis.throughput import _pipeline_comm
         from repro.runtime import execute_program_reference
 
         cfg = PipelineConfig(scheme="hanayo", num_devices=P,
@@ -287,7 +284,7 @@ class TestContentionParity:
             costs = stage_costs(tiny_model(num_layers=16),
                                 sched.num_stages, cluster.device, 2)
             program = compile_cluster_program(sched, cluster, costs, d=2)
-            oracle = ConcreteCosts(costs, _pipeline_comm(cluster, 0, P))
+            oracle = ConcreteCosts(costs, CommModel.from_cluster(cluster))
             cells.append((program, oracle,
                           ExecutablePlan.lower(program).retime(oracle)))
         run = RunConfig(contention=True)
@@ -345,7 +342,6 @@ class TestTimeOrderedReplay:
         against structural order — recovers in-batch (zero scalar
         fallbacks) and matches both event cores."""
         from repro import profiling
-        from repro.analysis.throughput import _pipeline_comm
         from repro.runtime import execute_program_reference
 
         stats = profiling.batching_stats()
@@ -359,7 +355,7 @@ class TestTimeOrderedReplay:
             costs = stage_costs(tiny_model(num_layers=16),
                                 sched.num_stages, cluster.device, 2)
             program = compile_cluster_program(sched, cluster, costs, d=2)
-            oracle = ConcreteCosts(costs, _pipeline_comm(cluster, 0, P))
+            oracle = ConcreteCosts(costs, CommModel.from_cluster(cluster))
             cells.append((program, oracle,
                           ExecutablePlan.lower(program).retime(oracle)))
         run = RunConfig(contention=True)
@@ -665,7 +661,7 @@ class TestRetimeBuffers:
 
 
 class TestBoundPlanCache:
-    """PlanEntry.bindings: one re-time per (cluster, costs, P) key."""
+    """PlanEntry.bindings: one re-time per (cluster, costs) key."""
 
     def test_binding_reused_per_key(self):
         from repro.analysis.plans import PlanEntry

@@ -246,15 +246,17 @@ class TestAnalysisPruning:
     """OOM cells never pay a full simulation (fast-path satellite)."""
 
     def _count_simulations(self, monkeypatch):
+        """Count the lanes the harness hands to the event core."""
         import repro.analysis.throughput as thr
         calls = {"n": 0}
-        real = thr.simulate_program
+        real = thr.execute_many
 
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
+        def counting(items, *args, **kwargs):
+            items = list(items)
+            calls["n"] += len(items)
+            return real(items, *args, **kwargs)
 
-        monkeypatch.setattr(thr, "simulate_program", counting)
+        monkeypatch.setattr(thr, "execute_many", counting)
         return calls
 
     def test_static_infeasible_cell_never_simulates(self, monkeypatch):

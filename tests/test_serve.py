@@ -34,7 +34,11 @@ import urllib.request
 import pytest
 
 from repro import profiling
+from repro.actions.lowering import ExecutablePlan
+from repro.analysis import ThroughputRequest, plan_cache
+from repro.cluster import make_fc
 from repro.errors import ConfigError
+from repro.models import tiny_model
 from repro.serve import AdviseQuery, SweepQuery, dumps_canonical, query_key
 from repro.serve.batcher import MicroBatcher
 from repro.serve.codec import CODEC_VERSION
@@ -136,7 +140,7 @@ class TestMicroBatcher:
 
         def submit(name):
             reqs = [object(), object()]
-            results[name] = (reqs, batcher.measure_flat(reqs))
+            results[name] = (reqs, batcher.measure(reqs))
 
         threads = [threading.Thread(target=submit, args=(i,))
                    for i in range(3)]
@@ -152,26 +156,39 @@ class TestMicroBatcher:
         for reqs, outcomes in results.values():
             assert outcomes == [("out", id(r)) for r in reqs]
 
-    def test_flat_and_hybrid_partition(self, monkeypatch):
-        seen = {"flat": [], "hybrid": []}
-        monkeypatch.setattr(
-            "repro.serve.batcher.measure_throughput_batch",
-            lambda rs: seen["flat"].append(len(rs)) or _fake_outcomes(rs))
-        monkeypatch.setattr(
-            "repro.serve.batcher.measure_hybrid_throughput_batch",
-            lambda rs: seen["hybrid"].append(len(rs)) or _fake_outcomes(rs))
-        batcher = MicroBatcher(window_s=0.2)
+    def test_mixed_tp_submissions_share_one_dispatch(self, monkeypatch):
+        """TP = 1 and TP = 2 lanes are one request type: concurrent
+        submissions of both land in a single harness call."""
+        calls = []
+
+        def record(requests):
+            calls.append([r.tp for r in requests])
+            return _fake_outcomes(requests)
+
+        monkeypatch.setattr("repro.serve.batcher.measure_throughput_batch",
+                            record)
+        model, cluster = tiny_model(num_layers=16), make_fc(8)
+        flat = [ThroughputRequest(scheme="gpipe", cluster=cluster,
+                                  model=model, p=4, num_microbatches=4)]
+        hybrid = [ThroughputRequest(scheme="gpipe", cluster=cluster,
+                                    model=model, p=2, num_microbatches=4,
+                                    tp=2, d=d) for d in (1, 2)]
+        batcher = MicroBatcher(window_s=0.2, workers=1)
         out = {}
-        t1 = threading.Thread(
-            target=lambda: out.setdefault(
-                "f", batcher.measure_flat([object()])))
-        t2 = threading.Thread(
-            target=lambda: out.setdefault(
-                "h", batcher.measure_hybrid([object(), object()])))
-        t1.start(); t2.start(); t1.join(); t2.join()
+        threads = [
+            threading.Thread(target=lambda: out.setdefault(
+                "flat", batcher.measure(flat))),
+            threading.Thread(target=lambda: out.setdefault(
+                "hybrid", batcher.measure(hybrid))),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
         batcher.close()
-        assert sum(seen["flat"]) == 1 and sum(seen["hybrid"]) == 2
-        assert len(out["f"]) == 1 and len(out["h"]) == 2
+        assert len(calls) == 1 and sorted(calls[0]) == [1, 2, 2]
+        assert out["flat"] == _fake_outcomes(flat)
+        assert out["hybrid"] == _fake_outcomes(hybrid)
 
     def test_errors_propagate_to_every_waiter(self, monkeypatch):
         def boom(requests):
@@ -184,7 +201,7 @@ class TestMicroBatcher:
 
         def submit():
             try:
-                batcher.measure_flat([object()])
+                batcher.measure([object()])
             except RuntimeError as exc:
                 errors.append(str(exc))
 
@@ -200,7 +217,7 @@ class TestMicroBatcher:
         batcher = MicroBatcher(window_s=0.01)
         batcher.close()
         with pytest.raises(RuntimeError, match="closed"):
-            batcher.measure_flat([object()])
+            batcher.measure([object()])
 
     def test_uncoalesced_mode_runs_inline(self, monkeypatch):
         thread_ids = []
@@ -209,7 +226,7 @@ class TestMicroBatcher:
             lambda rs: thread_ids.append(threading.get_ident())
             or _fake_outcomes(rs))
         batcher = MicroBatcher(coalesce=False)
-        batcher.measure_flat([object()])
+        batcher.measure([object()])
         batcher.close()
         assert thread_ids == [threading.get_ident()]
 
@@ -289,6 +306,36 @@ class TestSingleFlight:
         for t in threads:
             t.join(timeout=10)
         assert failures == ["bad question"] * 2
+
+
+# ---------------------------------------------------------------------------
+# repeated queries
+
+
+class TestRepeatedQueries:
+    def test_repeated_advise_reuses_cost_bindings(self, monkeypatch):
+        """Preset clusters are memoized, so a repeated query hits the
+        plan cache's cost bindings (keyed on cluster identity): nothing
+        is re-timed and the bindings do not grow."""
+        query = AdviseQuery.make("FC", "bert", 8, 8)
+        first = advise_answer(query)
+
+        def bindings():
+            return sum(len(entry.bindings)
+                       for entry in plan_cache()._store.values())
+
+        retimes = []
+        real = ExecutablePlan.retime
+
+        def counted(plan, *args, **kwargs):
+            retimes.append(plan)
+            return real(plan, *args, **kwargs)
+
+        monkeypatch.setattr(ExecutablePlan, "retime", counted)
+        before = bindings()
+        assert advise_answer(query) == first
+        assert retimes == []
+        assert bindings() == before
 
 
 # ---------------------------------------------------------------------------

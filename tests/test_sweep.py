@@ -39,16 +39,17 @@ def tiny_spec(**overrides) -> SweepSpec:
 
 @pytest.fixture
 def counter(monkeypatch):
-    """Wrap the engine's measure_throughput with a call counter."""
-    calls = []
-    real = engine_mod.measure_throughput
+    """Wrap the engine's measurement global with a lane counter: one
+    entry per measured request."""
+    lanes = []
+    real = engine_mod.measure_throughput_batch
 
-    def counted(*args, **kwargs):
-        calls.append((args, kwargs))
-        return real(*args, **kwargs)
+    def counted(requests, *args, **kwargs):
+        lanes.extend(requests)
+        return real(requests, *args, **kwargs)
 
-    monkeypatch.setattr(engine_mod, "measure_throughput", counted)
-    return calls
+    monkeypatch.setattr(engine_mod, "measure_throughput_batch", counted)
+    return lanes
 
 
 class TestCache:
@@ -222,20 +223,22 @@ class TestCache:
         cache = ResultCache(tmp_path / "c")
         spec = tiny_spec(schemes=("gpipe", "dapple"), waves=(1,),
                          layouts=((4, 1),))
-        real = em.measure_throughput
+        real = em.measure_throughput_batch
         calls = []
 
-        def explode_on_second(*args, **kwargs):
-            calls.append(args)
+        def explode_on_second(requests):
+            # one cluster: every unit is a one-lane call
+            calls.append(requests)
             if len(calls) == 2:
                 raise KeyboardInterrupt
-            return real(*args, **kwargs)
+            return real(requests)
 
-        monkeypatch.setattr(em, "measure_throughput", explode_on_second)
+        monkeypatch.setattr(em, "measure_throughput_batch",
+                            explode_on_second)
         with pytest.raises(KeyboardInterrupt):
             run_sweep(spec, cache=cache)
         assert len(cache) == 1          # first cell survived the abort
-        monkeypatch.setattr(em, "measure_throughput", real)
+        monkeypatch.setattr(em, "measure_throughput_batch", real)
         table = run_sweep(spec, cache=cache)
         assert table.stats.cached == 1 and table.stats.computed == 1
 
