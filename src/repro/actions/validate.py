@@ -21,19 +21,6 @@ from ..errors import DeadlockError, ValidationError
 from .ops import Action, BatchedP2P, Recv, Send, Tag
 
 
-def _flatten(actions: list[Action]) -> list[Action]:
-    flat: list[Action] = []
-    for act in actions:
-        if isinstance(act, BatchedP2P):
-            # Group semantics: all posts are issued together; represent
-            # as the batch itself so the deadlock model can treat it
-            # atomically.
-            flat.append(act)
-        else:
-            flat.append(act)
-    return flat
-
-
 def check_matching(lists: dict[int, list[Action]]) -> None:
     """Every send has a unique matching recv on the peer (and vice versa)."""
     sends: dict[tuple[int, int, Tag], int] = {}

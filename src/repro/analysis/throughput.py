@@ -143,9 +143,10 @@ def dp_rank_groups(cluster: Cluster, p: int, d: int,
     Device ``g`` of pipeline 0 sits at cluster rank ``g * spacing``
     (``spacing`` is the tensor-parallel degree in hybrid layouts) and
     reduces with its mirrors one pipeline block — ``p * spacing`` ranks
-    — apart.  Raises :class:`~repro.errors.ConfigError` when any group
-    member falls outside the cluster, instead of letting the rank leak
-    surface later as a raw networkx routing error.
+    — apart.  Raises :class:`~repro.errors.ConfigError` naming the
+    group and the layout when any member falls outside the cluster,
+    instead of letting the rank leak surface later as a bare routing
+    error.
     """
     groups: dict[int, tuple[int, ...]] = {}
     for g in range(p):
@@ -295,12 +296,12 @@ class _SpacedCosts(ConcreteCosts):
     """Cost oracle of one pipeline inside a (TP, PP, DP) layout.
 
     Pipeline peers sit ``tp`` ranks apart in the cluster topology
-    (rank = tp_rank + tp * pp_rank), so both pipeline transfers and the
-    program-local → global rank mapping space by the TP degree — which
-    is what routes DP/TP collective rings and link contention onto the
-    *physical* ranks.  At ``tp = 1`` this is plain
-    ``ConcreteCosts(costs, CommModel.from_cluster(cluster))``: pipeline
-    0 owns ranks ``[0, P)``.
+    (rank = tp_rank + tp * pp_rank), so the program-local → global rank
+    mapping spaces by the TP degree.  :class:`ConcreteCosts` routes
+    pipeline transfers, link latencies and link contention through
+    that mapping, onto the *physical* ranks.  At ``tp = 1`` this is
+    plain ``ConcreteCosts(costs, CommModel.from_cluster(cluster))``:
+    pipeline 0 owns ranks ``[0, P)``.
     """
 
     def __init__(self, stage_costs: StageCosts, cluster: Cluster,
@@ -311,21 +312,6 @@ class _SpacedCosts(ConcreteCosts):
 
     def global_rank(self, device: int) -> int:
         return device * self._tp
-
-    def transfer_time(self, src: int, dst: int, stage: int) -> float:
-        if src == dst:
-            return 0.0
-        return self.comm.topology.transfer_time(
-            self.global_rank(src), self.global_rank(dst),
-            self.stage_costs.boundary_bytes,
-        )
-
-    def link_latency(self, src: int, dst: int) -> float:
-        if src == dst:
-            return 0.0
-        return self.comm.topology.effective_link(
-            self.global_rank(src), self.global_rank(dst)
-        ).latency
 
 
 def compile_cluster_program(

@@ -1,10 +1,11 @@
 """Communication-time model used by the discrete-event simulator.
 
 Resolves a (source rank, destination rank, bytes) triple to seconds via
-the cluster topology, and models the paper's batched cross-communication
-(Sec. 4.2): opposing transfers between the same device pair issued in
-one ``batch_isend_irecv`` share the wire sequentially but pay a single
-launch latency.
+the cluster topology, or to one flat per-message cost.  The paper's
+batched cross-communication (Sec. 4.2) — opposing transfers in one
+``batch_isend_irecv`` sharing a single launch latency — is modeled by
+the event core (:mod:`repro.runtime.events`) from these per-transfer
+times and the oracle's ``link_latency``.
 """
 
 from __future__ import annotations
@@ -64,11 +65,10 @@ class CommModel:
                                            transfer.nbytes)
 
     def rank_transfer_time(self, a: int, b: int, nbytes: float) -> float:
-        """Transfer seconds between two *global* ranks, unshifted.
+        """Transfer seconds between two cluster ranks.
 
-        Collective rings address cluster ranks directly, so this
-        resolves against the raw topology even in oracles whose
-        :meth:`transfer_time` re-bases program-local device ids.
+        Cost oracles map program-local devices to cluster ranks before
+        calling this; collective rings address cluster ranks directly.
         """
         if a == b:
             return 0.0
@@ -76,37 +76,3 @@ class CommModel:
             return self.uniform_tc
         assert self.topology is not None
         return self.topology.transfer_time(a, b, nbytes)
-
-    def batched_time(self, transfers: list[Transfer]) -> float:
-        """Duration of one batched isend/irecv group.
-
-        Transfers between distinct pairs proceed in parallel; transfers
-        sharing an unordered device pair serialize on the wire but pay
-        the launch latency once.  The group completes when its slowest
-        pair completes (NCCL group semantics).
-        """
-        if not transfers:
-            return 0.0
-        by_pair: dict[frozenset[int], list[Transfer]] = {}
-        for t in transfers:
-            if t.src == t.dst:
-                continue
-            by_pair.setdefault(frozenset((t.src, t.dst)), []).append(t)
-        if not by_pair:
-            return 0.0
-        pair_times = []
-        for group in by_pair.values():
-            times = [self.transfer_time(t) for t in group]
-            if self.uniform_tc is not None:
-                # Uniform mode: t_c is a per-message cost with no
-                # latency/bandwidth split; batching saves nothing but
-                # serialization is still modeled.
-                pair_times.append(sum(times))
-                continue
-            assert self.topology is not None
-            link = self.topology.effective_link(group[0].src, group[0].dst)
-            serialized = link.latency + sum(
-                t.nbytes / link.bandwidth for t in group
-            )
-            pair_times.append(serialized)
-        return max(pair_times)

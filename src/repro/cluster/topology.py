@@ -1,18 +1,19 @@
 """Device interconnect topology.
 
-A :class:`Topology` is an undirected multigraph of devices where each
-edge carries a :class:`LinkClass` (NVLink generation, PCIe, inter-node
-fabric).  Communication cost between two ranks is resolved by the best
-link class on the shortest path — a deliberate simplification of NCCL
-ring construction that preserves the ordering the paper relies on:
-NVLink pairs ≫ PCIe ≫ cross-node.
+A :class:`Topology` is an undirected graph of devices: a link table
+mapping each rank to its neighbours, each edge carrying one
+:class:`LinkClass` (NVLink generation, PCIe, inter-node fabric).
+Communication cost between two ranks is resolved by the direct link
+or, failing that, the bottleneck link on the bandwidth-shortest path —
+a deliberate simplification of NCCL ring construction that preserves
+the ordering the paper relies on: NVLink pairs ≫ PCIe ≫ cross-node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count
 
 from ..errors import ConfigError
 
@@ -49,23 +50,27 @@ class Topology:
             raise ConfigError("num_devices must be >= 1")
         self.name = name
         self.num_devices = num_devices
-        self._graph = nx.Graph()
-        self._graph.add_nodes_from(range(num_devices))
+        #: ``{a: {b: link}}``, symmetric; neighbours in declaration order
+        self._adj: dict[int, dict[int, LinkClass]] = {
+            rank: {} for rank in range(num_devices)
+        }
 
     def add_link(self, a: int, b: int, link: LinkClass) -> None:
         if not (0 <= a < self.num_devices and 0 <= b < self.num_devices):
             raise ConfigError(f"link ({a},{b}) outside device range")
         if a == b:
             raise ConfigError("self links are implicit (zero cost)")
-        existing = self._graph.get_edge_data(a, b)
-        # Keep the fastest link if several are declared between a pair.
-        if existing is None or existing["link"].bandwidth < link.bandwidth:
-            self._graph.add_edge(a, b, link=link, weight=1.0 / link.bandwidth)
+        existing = self._adj[a].get(b)
+        # Keep the fastest link if several are declared between a pair;
+        # a re-declared pair keeps its first declaration's position.
+        if existing is None or existing.bandwidth < link.bandwidth:
+            self._adj[a][b] = link
+            self._adj[b][a] = link
 
     def link_between(self, a: int, b: int) -> LinkClass | None:
         """Direct link between two ranks, if any."""
-        data = self._graph.get_edge_data(a, b)
-        return None if data is None else data["link"]
+        nbrs = self._adj.get(a)
+        return None if nbrs is None else nbrs.get(b)
 
     def effective_link(self, a: int, b: int) -> LinkClass:
         """Link class governing a transfer from ``a`` to ``b``.
@@ -79,13 +84,14 @@ class Topology:
         direct = self.link_between(a, b)
         if direct is not None:
             return direct
-        try:
-            path = nx.shortest_path(self._graph, a, b, weight="weight")
-        except nx.NetworkXNoPath as exc:
-            raise ConfigError(
-                f"{self.name}: no route between {a} and {b}"
-            ) from exc
-        links = [self._graph[u][v]["link"] for u, v in zip(path, path[1:])]
+        for rank in (a, b):
+            if rank not in self._adj:
+                raise ConfigError(
+                    f"{self.name}: no route between {a} and {b} (rank "
+                    f"{rank} is outside 0..{self.num_devices - 1})"
+                )
+        path = self._shortest_path(a, b)
+        links = [self._adj[u][v] for u, v in zip(path, path[1:])]
         bottleneck = min(links, key=lambda l: l.bandwidth)
         total_latency = sum(l.latency for l in links)
         return LinkClass(
@@ -93,6 +99,60 @@ class Topology:
             bandwidth=bottleneck.bandwidth,
             latency=total_latency,
         )
+
+    def _shortest_path(self, source: int, target: int) -> list[int]:
+        """Ranks on the path of least total ``1 / bandwidth``.
+
+        Bidirectional Dijkstra, expanding the two searches alternately
+        with one shared push counter as the heap tie-break, and
+        stopping when a rank is settled from both sides.  Equal-weight
+        paths are common (few link classes), and which one wins decides
+        the route's name and latency sum, so that expansion order is
+        part of the result: ``tests/golden/routes.json`` pins it pair
+        by pair.
+        """
+        adj = self._adj
+        dists: list[dict[int, float]] = [{}, {}]      # settled
+        seen: list[dict[int, float]] = [{source: 0}, {target: 0}]
+        preds: list[dict[int, int | None]] = [{source: None},
+                                              {target: None}]
+        c = count()
+        fringe: list[list] = [[(0, next(c), source)],
+                              [(0, next(c), target)]]
+        finaldist: float | None = None
+        meetnode = source
+        direction = 1
+        while fringe[0] and fringe[1]:
+            direction = 1 - direction
+            dist, _, v = heappop(fringe[direction])
+            if v in dists[direction]:
+                continue
+            dists[direction][v] = dist
+            if v in dists[1 - direction]:
+                path, node = [], meetnode
+                while node is not None:
+                    path.append(node)
+                    node = preds[0][node]
+                path.reverse()
+                node = preds[1][meetnode]
+                while node is not None:
+                    path.append(node)
+                    node = preds[1][node]
+                return path
+            for w, link in adj[v].items():
+                if w in dists[direction]:
+                    continue
+                length = dist + 1.0 / link.bandwidth
+                if w not in seen[direction] or length < seen[direction][w]:
+                    seen[direction][w] = length
+                    heappush(fringe[direction], (length, next(c), w))
+                    preds[direction][w] = v
+                    if w in seen[1 - direction]:
+                        total = length + seen[1 - direction][w]
+                        if finaldist is None or finaldist > total:
+                            finaldist, meetnode = total, w
+        raise ConfigError(f"{self.name}: no route between {source} and "
+                          f"{target}")
 
     def transfer_time(self, a: int, b: int, nbytes: float) -> float:
         if a == b:
@@ -104,19 +164,26 @@ class Topology:
         triples — a canonical, order-independent dump used by cache
         fingerprinting and debugging."""
         return sorted(
-            (min(a, b), max(a, b), data["link"])
-            for a, b, data in self._graph.edges(data=True)
+            (a, b, link)
+            for a, nbrs in self._adj.items()
+            for b, link in nbrs.items() if a < b
         )
 
     def is_connected(self) -> bool:
-        return nx.is_connected(self._graph) if self.num_devices > 1 else True
-
-    def neighbors(self, rank: int) -> list[int]:
-        return sorted(self._graph.neighbors(rank))
+        reached = {0}
+        frontier = [0]
+        while frontier:
+            rank = frontier.pop()
+            for peer in self._adj[rank]:
+                if peer not in reached:
+                    reached.add(peer)
+                    frontier.append(peer)
+        return len(reached) == self.num_devices
 
     def __repr__(self) -> str:
+        edges = sum(len(nbrs) for nbrs in self._adj.values()) // 2
         return (f"Topology({self.name!r}, devices={self.num_devices}, "
-                f"links={self._graph.number_of_edges()})")
+                f"links={edges})")
 
 
 def ring_transfer_chain(topology: Topology, ranks: list[int], nbytes: float) -> float:

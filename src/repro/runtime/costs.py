@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cluster.comm_model import CommModel, Transfer
+from ..cluster.comm_model import CommModel
 from ..config import CostConfig
 from ..errors import ConfigError
 from ..models.costs import StageCosts
@@ -46,8 +46,8 @@ class CostOracle:
 
         Programs are compiled for one pipeline's workers ``0..P-1``;
         oracles that place the pipeline elsewhere in a cluster (rank
-        blocks, TP spacing) override this so link contention and
-        collective routes resolve against *physical* ranks.
+        blocks, TP spacing) override this so transfer times, link
+        latencies and link contention resolve against *physical* ranks.
         """
         return device
 
@@ -114,16 +114,17 @@ class ConcreteCosts(CostOracle):
         return table[op.stage]
 
     def transfer_time(self, src: int, dst: int, stage: int) -> float:
-        if src == dst:
-            return 0.0
-        return self.comm.transfer_time(
-            Transfer(src, dst, self.stage_costs.boundary_bytes)
+        return self.comm.rank_transfer_time(
+            self.global_rank(src), self.global_rank(dst),
+            self.stage_costs.boundary_bytes,
         )
 
     def link_latency(self, src: int, dst: int) -> float:
         if src == dst or self.comm.topology is None:
             return 0.0
-        return self.comm.topology.effective_link(src, dst).latency
+        return self.comm.topology.effective_link(
+            self.global_rank(src), self.global_rank(dst)
+        ).latency
 
     def tensor_nbytes(self, stage: int) -> float:
         return self.stage_costs.boundary_bytes

@@ -159,6 +159,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -169,10 +171,19 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message})
 
     def _read_query_payload(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            self.close_connection = True  # the body's extent is unknown
+            raise ConfigError(
+                f"Content-Length {header!r} is not an integer") from None
         if length <= 0:
             raise ConfigError("request body is empty; send a JSON query")
         if length > MAX_BODY_BYTES:
+            # The body stays unread, so its bytes must not be parsed as
+            # the next request on this keep-alive connection.
+            self.close_connection = True
             raise ConfigError(
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit")

@@ -1,5 +1,10 @@
 """Topology graphs, cluster presets, and the communication model."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.cluster import (
@@ -73,6 +78,27 @@ class TestTopology:
         t.add_link(0, 1, NVLINK3)
         with pytest.raises(ConfigError, match="no route"):
             t.effective_link(0, 2)
+        assert not t.is_connected()
+
+    def test_rank_outside_topology_raises(self):
+        t = Topology("t", 2)
+        t.add_link(0, 1, NVLINK3)
+        assert t.link_between(0, 5) is None
+        with pytest.raises(ConfigError, match="no route.*outside 0..1"):
+            t.effective_link(0, 5)
+
+    def test_link_table(self):
+        t = Topology("t", 4)
+        t.add_link(2, 1, PCIE4)
+        t.add_link(0, 1, NVLINK3)
+        t.add_link(1, 2, NVLINK3)   # faster: replaces the PCIe link
+        t.add_link(1, 0, PCIE4)     # slower: ignored
+        assert t.links() == [(0, 1, NVLINK3), (1, 2, NVLINK3)]
+        assert repr(t) == "Topology('t', devices=4, links=2)"
+        assert not t.is_connected()
+        t.add_link(3, 2, INTER_NODE)
+        assert t.is_connected()
+        assert Topology("one", 1).is_connected()
 
 
 class TestPresets:
@@ -141,27 +167,6 @@ class TestCommModel:
         t = cm.transfer_time(Transfer(0, 1, 1e9))
         assert t == pytest.approx(NVLINK3.transfer_time(1e9))
 
-    def test_batched_shares_latency(self):
-        cm = CommModel.from_cluster(make_fc(4))
-        single = cm.transfer_time(Transfer(0, 1, 1e8))
-        batched = cm.batched_time([
-            Transfer(0, 1, 1e8), Transfer(1, 0, 1e8),
-        ])
-        # Serialized on the wire but one latency: strictly less than 2x.
-        assert single < batched < 2 * single
-
-    def test_batched_parallel_pairs(self):
-        cm = CommModel.from_cluster(make_fc(8))
-        lone = cm.batched_time([Transfer(0, 1, 1e8)])
-        two_pairs = cm.batched_time([
-            Transfer(0, 1, 1e8), Transfer(2, 3, 1e8),
-        ])
-        assert two_pairs == pytest.approx(lone)
-
-    def test_batched_empty(self):
-        cm = CommModel.uniform(1.0)
-        assert cm.batched_time([]) == 0.0
-
 
 class TestRingTransfer:
     def test_single_rank_free(self):
@@ -173,3 +178,56 @@ class TestRingTransfer:
         two = ring_transfer_chain(topo, [0, 1], 1e9)
         four = ring_transfer_chain(topo, [0, 1, 2, 3], 1e9)
         assert two < four
+
+
+class TestNoNetworkx:
+    """Routing is self-contained: nothing imports networkx."""
+
+    @staticmethod
+    def _run(script: str) -> str:
+        env = {**os.environ,
+               "PYTHONPATH": os.path.join(os.getcwd(), "src")}
+        out = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        return out.stdout
+
+    def test_cli_import_leaves_networkx_unloaded(self):
+        out = self._run("""
+            import sys
+            import repro.cli
+            print("networkx" in sys.modules)
+        """)
+        assert out.split() == ["False"]
+
+    def test_route_and_sweep_cell_with_networkx_blocked(self):
+        out = self._run("""
+            import sys
+            sys.modules["networkx"] = None   # any import of it now fails
+            import repro.cli
+            from repro.cluster import NVLINK3, PCIE4, Cluster, Topology
+            from repro.models import A100_80G, tiny_model
+            from repro.sweep import SweepSpec, run_sweep
+
+            # a 4-ring 0-2-1-3-0: pipeline neighbours 0->1 and 2->3 are
+            # two hops apart
+            topo = Topology("ring", 4)
+            for a, b, link in [(0, 2, NVLINK3), (2, 1, PCIE4),
+                               (1, 3, NVLINK3), (3, 0, PCIE4)]:
+                topo.add_link(a, b, link)
+            print(topo.effective_link(0, 1).name)
+            cluster = Cluster("ring", A100_80G, topo, gpus_per_node=4)
+            table = run_sweep(SweepSpec(
+                schemes=("gpipe",), clusters=(cluster,),
+                models=(tiny_model(),), layouts=((4, 1),),
+                total_batches=(8,)))
+            print(table.stats.describe())
+            print([m for m in sys.modules
+                   if m.split(".")[0] == "networkx"
+                   and sys.modules[m] is not None])
+        """)
+        assert out.splitlines() == [
+            "path(pcie4x2)",
+            "1 cells: 1 computed, 0 cached, 0 infeasible",
+            "[]",
+        ]

@@ -259,7 +259,8 @@ class TestMeasuredOverlap:
 
 
 class TestLayoutValidation:
-    """Satellite: rank leaks become ConfigError, not networkx noise."""
+    """Rank leaks become a ConfigError naming the group and layout,
+    not a bare routing error."""
 
     def test_dp_allreduce_rejects_oversized(self):
         with pytest.raises(ConfigError, match="rank"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import activation_units, gems_bubble_ratio
-from repro.cluster import CommModel, Transfer, make_fc
+from repro.cluster import Transfer
 from repro.config import CostConfig, PipelineConfig
 from repro.engine import (
     DataParallelPipelines,
@@ -77,15 +77,6 @@ class TestGemsStructure:
 
 
 class TestCommModelEdges:
-    def test_uniform_batched_serializes(self):
-        cm = CommModel.uniform(0.5)
-        t = cm.batched_time([Transfer(0, 1, 1), Transfer(1, 0, 1)])
-        assert t == pytest.approx(1.0)  # two messages on one pair
-
-    def test_batched_skips_self_transfers(self):
-        cm = CommModel.uniform(0.5)
-        assert cm.batched_time([Transfer(2, 2, 99)]) == 0.0
-
     def test_negative_transfer_rejected(self):
         with pytest.raises(ConfigError):
             Transfer(0, 1, -5)

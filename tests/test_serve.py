@@ -24,6 +24,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -43,7 +44,7 @@ from repro.serve import AdviseQuery, SweepQuery, dumps_canonical, query_key
 from repro.serve.batcher import MicroBatcher
 from repro.serve.codec import CODEC_VERSION
 from repro.serve.queries import advise_answer, format_advise, sweep_answer
-from repro.serve.server import AdvisorServer
+from repro.serve.server import MAX_BODY_BYTES, AdvisorServer
 from repro.serve.singleflight import SingleFlight
 
 # ---------------------------------------------------------------------------
@@ -433,6 +434,50 @@ class TestServedParity:
         assert stats["serve"]["queries"] >= 1
         assert stats["plan_cache"]["entries"] >= 1
         assert "occupancy" in stats["batching"]
+
+
+def _raw_exchange(server, data: bytes) -> bytes:
+    """Send ``data`` on one socket and read until the server closes it
+    (a socket timeout fails the test: the server kept it open)."""
+    with socket.create_connection(server.server_address[:2],
+                                  timeout=30) as sock:
+        sock.sendall(data)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    return received
+
+
+class TestRequestFraming:
+    HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+
+    def test_oversize_body_closes_the_connection(self, server):
+        """The rejected body is never read, so the connection closes
+        after the 400 instead of parsing body bytes (or a pipelined
+        request behind them) as the next request."""
+        post = (f"POST /advise HTTP/1.1\r\nHost: t\r\n"
+                f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n").encode()
+        received = _raw_exchange(server, post + b"{" * 64 + self.HEALTHZ)
+        assert received.count(b"HTTP/1.") == 1
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in head
+        assert b"byte limit" in body
+        with urllib.request.urlopen(server.url + "/healthz",
+                                    timeout=10) as resp:
+            assert resp.status == 200
+
+    def test_non_integer_content_length_is_a_400(self, server):
+        errors = profiling.serve_stats().snapshot()["errors"]
+        received = _raw_exchange(
+            server, b"POST /advise HTTP/1.1\r\nHost: t\r\n"
+                    b"Content-Length: abc\r\n\r\n{}" + self.HEALTHZ)
+        assert received.count(b"HTTP/1.") == 1
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert json.loads(body) == {
+            "error": "Content-Length 'abc' is not an integer"}
+        assert profiling.serve_stats().snapshot()["errors"] == errors + 1
 
 
 class TestServedSweep:
